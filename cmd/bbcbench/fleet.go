@@ -25,22 +25,11 @@ import (
 // fleetWorkers is how many bbcserved worker processes a merge spreads over.
 const fleetWorkers = 2
 
-// leaseTTL is shorter than bbcfleet's 30s default so that the lease table,
-// saved every TTL/4, is checkpointed a few times within each merge instead
-// of never; every poll renews a lease, so none expires.
-const leaseTTL = 2 * time.Second
-
-// pollEvery is the coordinator's job poll period. At bbcfleet's 100 ms
-// default a shard's end is noticed on the next 100 ms tick, so the merge
-// time moves in 100 ms steps (about 8%) whenever shard run times drift
-// across a tick; 20 ms keeps the steps within 2%.
-const pollEvery = 20 * time.Millisecond
-
-// fleetWorkload is bbcfleet with its default split (8 shards over 2
-// workers) plus a lease checkpoint, merging the pinned gadget scan again
-// and again. The workers are real bbcserved processes, each run as
-// bbcserved -workers 1 -data D -store S on loopback. Set-up starts them
-// and warms up with one small merge.
+// fleetWorkload is bbcfleet with its defaults (8 shards over 2 workers,
+// 100 ms polls, 30 s lease TTL) plus a lease checkpoint path, merging the
+// pinned gadget scan again and again. The workers are real bbcserved
+// processes, each run as bbcserved -workers 1 -data D -store S on
+// loopback. Set-up starts them and warms up with one small merge.
 type fleetWorkload struct {
 	e       *env
 	workers []*workerProc
@@ -112,6 +101,7 @@ func (w *fleetWorkload) setup(e *env) error {
 }
 
 // merge runs one fleet scan of spec's pinned space across the workers.
+// The zero Shards, LeaseTTL and PollEvery are bbcfleet's defaults.
 func (w *fleetWorkload) merge(spec core.Spec) (*fleet.Result, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -119,8 +109,6 @@ func (w *fleetWorkload) merge(spec core.Spec) (*fleet.Result, error) {
 		Spec:           spec,
 		Pin:            true,
 		Workers:        w.bases(),
-		LeaseTTL:       leaseTTL,
-		PollEvery:      pollEvery,
 		CheckpointPath: w.lease.savePath,
 		FS:             w.lease,
 		HTTP:           w.client,
@@ -211,6 +199,14 @@ func (w *fleetWorkload) bases() []string {
 
 func (w *fleetWorkload) engineThreads() int { return fleetWorkers }
 
+func (w *fleetWorkload) workerPIDs() []int {
+	pids := make([]int, len(w.workers))
+	for i, p := range w.workers {
+		pids[i] = p.cmd.Process.Pid
+	}
+	return pids
+}
+
 // counters sums the workers' registries (read over their /metrics API)
 // and adds this process's, which holds the coordinator's fleet counters.
 func (w *fleetWorkload) counters() (snapshot, error) {
@@ -237,7 +233,7 @@ func getJSON(c *http.Client, url string, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-func (w *fleetWorkload) run(ph *phase, until time.Time) {
+func (w *fleetWorkload) run(ph *phase, ops int, until time.Time) {
 	coord := ph.tr.track("coordinator")
 	agents := make([]int, len(w.workers))
 	for i, p := range w.workers {
@@ -250,7 +246,7 @@ func (w *fleetWorkload) run(ph *phase, until time.Time) {
 	defer w.hops.tr.Store(nil)
 	defer w.lease.tr.Store(nil)
 
-	for time.Now().Before(until) {
+	for i := 0; i < ops && time.Now().Before(until); i++ {
 		spec := scanGame(w.e.smoke, w.scales[w.next%len(w.scales)])
 		w.next++
 		h := ph.tr.open("merge", "fleet", "", coord, -1)

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bbc/internal/core"
@@ -175,7 +176,11 @@ func (w *jobsWorkload) engineThreads() int { return servePool }
 
 func (w *jobsWorkload) counters() (snapshot, error) { return localSnapshot(w.e.reg), nil }
 
-func (w *jobsWorkload) run(ph *phase, until time.Time) {
+func (w *jobsWorkload) workerPIDs() []int { return nil }
+
+// run lets the clients take the phase's jobs from one shared count, so
+// neither waits on the other at the end.
+func (w *jobsWorkload) run(ph *phase, ops int, until time.Time) {
 	w.hops.tr.Store(ph.tr)
 	w.st.tr.Store(ph.tr)
 	w.fs.tr.Store(ph.tr)
@@ -184,13 +189,15 @@ func (w *jobsWorkload) run(ph *phase, until time.Time) {
 		w.st.tr.Store(nil)
 		w.fs.tr.Store(nil)
 	}()
+	var left atomic.Int64
+	left.Store(int64(ops))
 	var wg sync.WaitGroup
 	for _, c := range w.clients {
 		track := ph.tr.track(fmt.Sprintf("client %d", c.id))
 		wg.Add(1)
 		go func(c *jobClient, track int) {
 			defer wg.Done()
-			for time.Now().Before(until) {
+			for left.Add(-1) >= 0 && time.Now().Before(until) {
 				w.op(ph, c, track)
 			}
 		}(c, track)

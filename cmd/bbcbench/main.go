@@ -8,10 +8,12 @@
 // One workload, as the benchmark harness runs it (the last line of
 // standard output is the JSON result):
 //
-//	bbcbench --workload scan-gadget --seed 1 --seconds 20 --trace 0
+//	bbcbench --workload scan-gadget --seed 1 --seconds 30 --trace 0
 //
-// With --trace 1 the run measures an untraced and a traced half and
-// reports the per-layer metrics instead of the end-to-end ones.
+// A run does a fixed number of operations, the number the reference
+// machine completes in --seconds. With --trace 1 the run measures an
+// untraced and a traced half and reports the per-layer metrics instead of
+// the end-to-end ones.
 //
 // All workloads, each in a fresh child process, into one result file (add
 // --trace-dir DIR for the traced runs and their Chrome traces):
@@ -34,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -53,13 +56,16 @@ type workload interface {
 	// test. It runs several times, with teardown in between, and the
 	// median is the set-up time.
 	setup(e *env) error
-	// run drives operations until the deadline and books each in ph; when
-	// ph.tr is set it also records spans.
-	run(ph *phase, until time.Time)
+	// run drives ops operations, or fewer if the deadline passes first,
+	// and books each in ph; when ph.tr is set it also records spans.
+	run(ph *phase, ops int, until time.Time)
 	// counters reads the program's registries.
 	counters() (snapshot, error)
 	// engineThreads is how many goroutines run engine code at once.
 	engineThreads() int
+	// workerPIDs are the processes besides this one that the workload
+	// runs on; their memory counts in rss_mb.
+	workerPIDs() []int
 	// verify re-checks outputs after the timed phases, booking wrong
 	// results as failures in ph.
 	verify(ph *phase)
@@ -97,7 +103,6 @@ type options struct {
 	trace     int
 	traceDir  string
 	out       string
-	runs      int
 	smoke     bool
 	compare   bool
 	bbcserved string
@@ -108,11 +113,10 @@ func main() {
 	var o options
 	flag.StringVar(&o.workload, "workload", "", "run one workload: scan-gadget, fleet-gadget, serve-jobs or sweep-grid (default: all, each in a child process)")
 	flag.Int64Var(&o.seed, "seed", 1, "seed the inputs are made from")
-	flag.Float64Var(&o.seconds, "seconds", 20, "length of the timed window")
+	flag.Float64Var(&o.seconds, "seconds", 30, "size of the timed work: the operations the reference machine completes in this many seconds")
 	flag.IntVar(&o.trace, "trace", 0, "1: measure an untraced and a traced half and report the per-layer metrics")
 	flag.StringVar(&o.traceDir, "trace-dir", "", "write <workload>.trace.json (Chrome format) and <workload>.layers.json here; with all workloads, also run each traced")
 	flag.StringVar(&o.out, "out", "", "write the full result (every run, sample counts, system) to this JSON file")
-	flag.IntVar(&o.runs, "runs", 1, "with all workloads: runs of each")
 	flag.BoolVar(&o.smoke, "smoke", false, "small inputs: a 7-player game instead of the gadget and an n=4 grid")
 	flag.BoolVar(&o.compare, "compare", false, "compare two result files given as arguments: OLD NEW")
 	flag.StringVar(&o.bbcserved, "bbcserved", "", "bbcserved binary for the fleet workers (default: go build it)")
@@ -210,14 +214,35 @@ func buildWorker(work string) (string, error) {
 	return bin, nil
 }
 
-// setupReps is how many times set-up runs; starting worker processes is
-// slow enough that fewer repetitions suffice.
+// setupReps is how many times set-up runs. Set-up takes tens of
+// milliseconds, where one slow fsync or scheduling delay moves a single
+// repetition by half, so the median is taken over many; starting worker
+// processes takes longer and moves less.
 func setupReps(name string) int {
 	if name == "fleet-gadget" {
-		return 3
+		return 5
 	}
-	return 7
+	return 21
 }
+
+// opsPerSecond is each workload's operation rate on the reference machine
+// (README.md): a run of --seconds S does S times this many operations,
+// the same work on every tree, so a slower tree takes longer instead of
+// doing less. Smoke inputs are smaller and finish sooner.
+var opsPerSecond = map[string]float64{
+	"scan-gadget":  0.6,
+	"fleet-gadget": 0.8,
+	"serve-jobs":   100,
+	"sweep-grid":   0.55,
+}
+
+// minOps is the fewest operations a phase does.
+const minOps = 4
+
+// overrun is how many times its nominal length a phase may take before
+// it stops short of its operation count, which keeps a run on a slow
+// machine within the harness's time limit.
+const overrun = 2
 
 // measure runs one workload: set-up, the timed phase (or an untraced and
 // a traced half), the output checks and, when traced, the probes.
@@ -260,17 +285,19 @@ func measure(o options) (*runResult, error) {
 	}()
 
 	window := time.Duration(o.seconds * float64(time.Second))
+	ops := int(math.Round(o.seconds * opsPerSecond[o.workload]))
 	if o.trace == 1 {
-		window /= 2
+		window, ops = window/2, ops/2
 	}
+	ops = max(minOps, ops)
 	before, err := w.counters()
 	if err != nil {
 		return nil, err
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	rss := sampleRSS()
-	base := timed(w, newPhase(nil), window)
+	rss := sampleRSS(w.workerPIDs())
+	base := timed(w, newPhase(nil), ops, window)
 	rssSamples := rss.end()
 	runtime.ReadMemStats(&m1)
 	after, err := w.counters()
@@ -291,7 +318,7 @@ func measure(o options) (*runResult, error) {
 		}
 	} else {
 		tr := newTracer()
-		traced := timed(w, newPhase(tr), window)
+		traced := timed(w, newPhase(tr), ops, window)
 		phases = append(phases, traced)
 		w.verify(traced)
 		w.teardown()
@@ -324,10 +351,10 @@ func measure(o options) (*runResult, error) {
 	return res, nil
 }
 
-// timed runs the workload for one window.
-func timed(w workload, ph *phase, window time.Duration) *phase {
+// timed runs one phase of ops operations, nominally window long.
+func timed(w workload, ph *phase, ops int, window time.Duration) *phase {
 	ph.start = time.Now()
-	w.run(ph, ph.start.Add(window))
+	w.run(ph, ops, ph.start.Add(overrun*window))
 	ph.end = time.Now()
 	return ph
 }
@@ -446,33 +473,31 @@ func all(o options) (int, error) {
 	defer os.RemoveAll(tmp) //nolint:errcheck // scratch
 	rf := resultFile{System: describeSystem()}
 	code := 0
-	for r := 0; r < o.runs; r++ {
-		for _, name := range workloadNames {
-			traces := []int{0}
-			if o.traceDir != "" {
-				traces = append(traces, 1)
+	for _, name := range workloadNames {
+		traces := []int{0}
+		if o.traceDir != "" {
+			traces = append(traces, 1)
+		}
+		for _, tr := range traces {
+			out := filepath.Join(tmp, fmt.Sprintf("%s-%d.json", name, tr))
+			args := []string{"--workload", name, "--seed", fmt.Sprint(o.seed), "--seconds", fmt.Sprint(o.seconds),
+				"--trace", fmt.Sprint(tr), "--out", out, "--bbcserved", o.bbcserved, "--work", o.work}
+			if o.smoke {
+				args = append(args, "--smoke")
 			}
-			for _, tr := range traces {
-				out := filepath.Join(tmp, fmt.Sprintf("%s-%d-%d.json", name, r, tr))
-				args := []string{"--workload", name, "--seed", fmt.Sprint(o.seed), "--seconds", fmt.Sprint(o.seconds),
-					"--trace", fmt.Sprint(tr), "--out", out, "--bbcserved", o.bbcserved, "--work", o.work}
-				if o.smoke {
-					args = append(args, "--smoke")
-				}
-				if tr == 1 {
-					args = append(args, "--trace-dir", o.traceDir)
-				}
-				cmd := exec.Command(self, args...)
-				cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
-				runErr := cmd.Run()
-				child, err := readResults(out)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %v (child: %v)", name, err, runErr)
-				}
-				rf.Runs = append(rf.Runs, child.Runs...)
-				if runErr != nil {
-					code = 1
-				}
+			if tr == 1 {
+				args = append(args, "--trace-dir", o.traceDir)
+			}
+			cmd := exec.Command(self, args...)
+			cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
+			runErr := cmd.Run()
+			child, err := readResults(out)
+			if err != nil {
+				return 0, fmt.Errorf("%s: %v (child: %v)", name, err, runErr)
+			}
+			rf.Runs = append(rf.Runs, child.Runs...)
+			if runErr != nil {
+				code = 1
 			}
 		}
 	}

@@ -24,6 +24,7 @@ var e2eMetrics = []metricDef{
 	{Name: "setup_s", Unit: "s", Better: "lower", Bound: 0.25},
 	{Name: "ops_per_s", Unit: "ops/s", Better: "higher", Bound: 0.25},
 	{Name: "op_p50_ms", Unit: "ms", Better: "lower", Bound: 0.25},
+	{Name: "late_op_p50_ms", Unit: "ms", Better: "lower", Bound: 0.25},
 	{Name: "rss_mb", Unit: "MiB", Better: "lower", Bound: 0.15},
 }
 
@@ -174,16 +175,16 @@ func mergeHists(a, b map[string]obs.Histogram, sign int64) map[string]obs.Histog
 func (s snapshot) get(m obs.Metric) float64 { return float64(s.counters[m.String()]) }
 
 // e2eValues computes the end-to-end metrics of the untraced phase, each
-// with its sample count. Throughput and latency come from the phase's
-// calmest quarter.
+// with its sample count.
 func e2eValues(setups []float64, ph *phase, rss []float64) map[string]metricValue {
 	v := func(x float64, n int) metricValue { return metricValue{Value: x, Samples: n} }
-	lat, perSecond := ph.calmQuarter()
+	late := ph.lateHalf()
 	return map[string]metricValue{
-		"setup_s":   v(median(setups), len(setups)),
-		"ops_per_s": v(perSecond, len(lat)),
-		"op_p50_ms": v(median(lat), len(lat)),
-		"rss_mb":    v(median(rss), len(rss)),
+		"setup_s":        v(median(setups), len(setups)),
+		"ops_per_s":      v(ph.perSecond(), ph.ops()),
+		"op_p50_ms":      v(median(ph.lat), ph.ops()),
+		"late_op_p50_ms": v(median(late), len(late)),
+		"rss_mb":         v(median(rss), len(rss)),
 	}
 }
 
@@ -223,9 +224,7 @@ func layerValues(in layerInputs) map[string]float64 {
 	v["runtime.alloc_bytes_per_op"] = ratio(float64(in.mem.TotalAlloc), ops)
 	v["runtime.gc_cycles_per_op"] = ratio(float64(in.mem.NumGC), ops)
 
-	calmBase, _ := base.calmQuarter()
-	calmTraced, _ := in.traced.calmQuarter()
-	v["obs.trace_overhead_share"] = ratio(median(calmTraced), median(calmBase)) - 1
+	v["obs.trace_overhead_share"] = ratio(median(in.traced.lat), median(base.lat)) - 1
 	for _, l := range selfLayers {
 		v[l+".self_share"] = ratio(in.table.SelfS[l], in.table.TrackWallS)
 	}

@@ -117,9 +117,11 @@ func (w *scanWorkload) engineThreads() int { return runtime.GOMAXPROCS(0) }
 
 func (w *scanWorkload) counters() (snapshot, error) { return localSnapshot(w.e.reg), nil }
 
-func (w *scanWorkload) run(ph *phase, until time.Time) {
+func (w *scanWorkload) workerPIDs() []int { return nil }
+
+func (w *scanWorkload) run(ph *phase, ops int, until time.Time) {
 	track := ph.tr.track("scan")
-	for time.Now().Before(until) {
+	for i := 0; i < ops && time.Now().Before(until); i++ {
 		spec := scanGame(w.e.smoke, w.scales[w.next%len(w.scales)])
 		w.next++
 		h := ph.tr.open("scan", "core", "", track, -1)

@@ -66,24 +66,32 @@ func memMiB(pid int, field string) (float64, error) {
 	return 0, fmt.Errorf("%s has no %s line", path, field)
 }
 
-// rssSampler records this process's resident set every 100 ms. The peak
-// is set by rare transient spikes (a store compaction, a GC landing
-// late) and moves from run to run; the median of the samples does not.
+// rssSampler records every 100 ms the resident set of this process plus
+// that of the worker processes the workload runs on. The peak is set by
+// rare transient spikes (a store compaction, a GC landing late) and moves
+// from run to run; the median of the samples does not.
 type rssSampler struct {
 	stop    chan struct{}
 	done    chan struct{}
 	samples []float64
 }
 
-func sampleRSS() *rssSampler {
+func sampleRSS(workers []int) *rssSampler {
 	s := &rssSampler{stop: make(chan struct{}), done: make(chan struct{})}
+	pids := append([]int{0}, workers...)
 	go func() {
 		defer close(s.done)
 		tick := time.NewTicker(100 * time.Millisecond)
 		defer tick.Stop()
 		for {
-			if mib, err := memMiB(0, "VmRSS"); err == nil {
-				s.samples = append(s.samples, mib)
+			total, ok := 0.0, true
+			for _, pid := range pids {
+				mib, err := memMiB(pid, "VmRSS")
+				total += mib
+				ok = ok && err == nil
+			}
+			if ok {
+				s.samples = append(s.samples, total)
 			}
 			select {
 			case <-s.stop:
@@ -153,8 +161,7 @@ type phase struct {
 	mu        sync.Mutex
 	start     time.Time
 	end       time.Time
-	lat       []float64       // ms, one per successful operation, in completion order
-	ends      []time.Duration // when each of them completed, from start
+	lat       []float64 // ms, one per successful operation, in completion order
 	attempted int
 	failed    int
 	errs      []string
@@ -177,7 +184,6 @@ func (p *phase) record(d time.Duration, err error) {
 		return
 	}
 	p.lat = append(p.lat, ms(d))
-	p.ends = append(p.ends, time.Since(p.start))
 }
 
 // fail books a wrong result found after the operation was recorded.
@@ -211,23 +217,16 @@ func (p *phase) wall() time.Duration { return p.end.Sub(p.start) }
 // ops is the number of operations the phase completed.
 func (p *phase) ops() int { return len(p.lat) }
 
-// calmQuarter splits the completed operations, in completion order, into
-// four runs of equal count and returns the one that completed fastest:
-// its latencies and its throughput (operations over the time from the
-// previous quarter's last completion to its own). On a shared machine
-// other tenants slow everything down in bursts of seconds; the quarter
-// least touched by them is what repeats from run to run.
-func (p *phase) calmQuarter() (lat []float64, perSecond float64) {
+// perSecond is the phase's throughput: completed operations over its wall
+// time.
+func (p *phase) perSecond() float64 { return ratio(float64(p.ops()), p.wall().Seconds()) }
+
+// lateHalf is the latencies of the second half of the completed
+// operations, in completion order. A cost that grows with the work done
+// so far (serve-jobs' store grows with every job) slows these most. A
+// quarter would show growth more sharply, but it holds three or four
+// scans or grids, and their median moved by 12% between runs.
+func (p *phase) lateHalf() []float64 {
 	n := len(p.lat)
-	k := min(4, n)
-	var from time.Duration
-	for g := 0; g < k; g++ {
-		a, b := g*n/k, (g+1)*n/k
-		span := (p.ends[b-1] - from).Seconds()
-		from = p.ends[b-1]
-		if rate := ratio(float64(b-a), span); rate > perSecond {
-			lat, perSecond = p.lat[a:b], rate
-		}
-	}
-	return lat, perSecond
+	return p.lat[n-min(n, max(1, n/2)):]
 }

@@ -85,9 +85,11 @@ func (w *sweepWorkload) engineThreads() int { return 1 }
 
 func (w *sweepWorkload) counters() (snapshot, error) { return localSnapshot(w.e.reg), nil }
 
-func (w *sweepWorkload) run(ph *phase, until time.Time) {
+func (w *sweepWorkload) workerPIDs() []int { return nil }
+
+func (w *sweepWorkload) run(ph *phase, ops int, until time.Time) {
 	track := ph.tr.track("sweep")
-	for time.Now().Before(until) {
+	for i := 0; i < ops && time.Now().Before(until); i++ {
 		pass := &gridPass{cfg: sweepGrid(w.e.smoke, gridSeed(w.e.seed, w.next))}
 		first := w.next == 0
 		w.next++
