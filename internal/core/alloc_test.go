@@ -121,3 +121,41 @@ func TestProfileStableAllocFree(t *testing.T) {
 		t.Errorf("profileStable on a warm scratch allocates %v/op, want 0", got)
 	}
 }
+
+// TestOracleForAllocFreeWithRegistry is TestOracleForAllocFree with a
+// registry installed: the scratch counts into its own block, times 1 in
+// 64 rebuilds, and publishes the block on FlushCounts, all without
+// allocating.
+func TestOracleForAllocFreeWithRegistry(t *testing.T) {
+	withRegistry(t)
+	es, _, _ := allocFixture(t)
+	es.FlushCounts()
+	if got := testing.AllocsPerRun(200, func() {
+		es.OracleFor(5)
+		es.FlushCounts()
+	}); got != 0 {
+		t.Errorf("EvalScratch.OracleFor (cache hit) + FlushCounts allocates %v/op, want 0", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		es.NoteRewire(2)
+		es.OracleFor(5)
+		es.FlushCounts()
+	}); got != 0 {
+		t.Errorf("EvalScratch.OracleFor (warm rebuild) + FlushCounts allocates %v/op, want 0", got)
+	}
+}
+
+// TestProfileStableAllocFreeWithRegistry is TestProfileStableAllocFree
+// with a registry installed, flush included.
+func TestProfileStableAllocFreeWithRegistry(t *testing.T) {
+	withRegistry(t)
+	es, p, order := allocFixture(t)
+	profileStable(es, p, order, -1)
+	es.FlushCounts()
+	if got := testing.AllocsPerRun(200, func() {
+		profileStable(es, p, order, -1)
+		es.FlushCounts()
+	}); got != 0 {
+		t.Errorf("profileStable + FlushCounts with a registry allocates %v/op, want 0", got)
+	}
+}

@@ -82,6 +82,9 @@ type Oracle struct {
 	cells      []undoCell
 	chosen     []int
 	taken      []bool // BestGreedy marks
+	// tally is the counter block of the owning EvalScratch; nil (an oracle
+	// from NewOracle) counts straight into the installed registry.
+	tally *obs.Tally
 }
 
 // undoCell records an overwritten curVec entry so DFS include branches can
@@ -99,7 +102,11 @@ type undoCell struct {
 func NewOracle(spec Spec, g *graph.Digraph, u int, agg Aggregation) *Oracle {
 	o := &Oracle{}
 	var gs graph.Scratch
+	reg := obs.Global()
+	t0 := reg.Started()
 	o.build(spec, g, u, agg, &gs, nil, make([]int64, spec.N()), nil, nil)
+	reg.ElapsedSince(obs.MOracleBuildNanos, t0)
+	reg.ObserveSince(obs.HOracleBuild, t0)
 	return o
 }
 
@@ -130,9 +137,7 @@ func (o *Oracle) build(spec Spec, g *graph.Digraph, u int, agg Aggregation, gs *
 	if u < 0 || u >= n {
 		panic(fmt.Sprintf("core: node %d out of range", u))
 	}
-	reg := obs.Global()
-	reg.Inc(obs.MOracleBuild)
-	t0 := reg.Started()
+	o.tally.Inc(obs.MOracleBuild)
 	sp := obs.Trace().StartSpan("oracle.build")
 	if !(o.specCached && o.spec == spec && o.u == u) {
 		o.spec, o.u = spec, u
@@ -250,8 +255,6 @@ func (o *Oracle) build(spec Spec, g *graph.Digraph, u int, agg Aggregation, gs *
 	o.curVec = growInt64(o.curVec, S)
 	o.cells = o.cells[:0]
 	o.chosen = o.chosen[:0]
-	reg.ElapsedSince(obs.MOracleBuildNanos, t0)
-	reg.ObserveSince(obs.HOracleBuild, t0)
 	sp.EndInt("node", int64(u))
 }
 
@@ -310,7 +313,7 @@ func (o *Oracle) ensureSuffix() {
 // Evaluate returns u's cost when playing the given (feasible, normalized)
 // strategy against the fixed rest-of-profile. It allocates nothing.
 func (o *Oracle) Evaluate(s Strategy) int64 {
-	obs.Global().Inc(obs.MOracleEval)
+	o.tally.Inc(obs.MOracleEval)
 	S := len(o.support)
 	min := o.minVec
 	for j := range min {
@@ -413,7 +416,7 @@ func (o *Oracle) LowerBound() int64 {
 // every include step rather than only at leaves. It allocates nothing on a
 // warm oracle.
 func (o *Oracle) HasImprovement(cur int64) bool {
-	obs.Global().Inc(obs.MHasImprovement)
+	o.tally.Inc(obs.MHasImprovement)
 	if o.pairCost > uint64(o.budget) {
 		// No feasible strategy holds two links (the two cheapest together
 		// exceed the budget, or fewer than two candidates exist), so the
@@ -527,8 +530,7 @@ func (e *EnumerationLimitError) Error() string {
 // limit caps the number of strategies examined; 0 means no cap. When the
 // cap is hit, an *EnumerationLimitError is returned.
 func (o *Oracle) BestExact(limit int) (Strategy, int64, error) {
-	reg := obs.Global()
-	reg.Inc(obs.MBestExact)
+	o.tally.Inc(obs.MBestExact)
 	budget := o.budget
 
 	cur := o.curVec
@@ -609,7 +611,7 @@ func (o *Oracle) BestExact(limit int) (Strategy, int64, error) {
 		// dominates it.
 	}
 	dfs(0, budget)
-	reg.Add(obs.MBestExactLeaves, int64(examined))
+	o.tally.Add(obs.MBestExactLeaves, int64(examined))
 	if limitHit {
 		return nil, 0, &EnumerationLimitError{Node: o.u, Limit: limit}
 	}
@@ -628,7 +630,7 @@ func (o *Oracle) BestExact(limit int) (Strategy, int64, error) {
 // gain is zero, since extra links never hurt and maximality matches the
 // exact oracle's search space.
 func (o *Oracle) BestGreedy() (Strategy, int64) {
-	obs.Global().Inc(obs.MBestGreedy)
+	o.tally.Inc(obs.MBestGreedy)
 	budget := o.budget
 	cur := o.curVec
 	for j := range cur {

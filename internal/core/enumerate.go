@@ -497,6 +497,9 @@ func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumCo
 	// The realized graph is a fresh pointer, so Bind always invalidates a
 	// reused scratch's oracle cache here while keeping its buffers warm.
 	es.Bind(spec, g, agg)
+	// The scan counts into the scratch's block; every return publishes it.
+	defer es.FlushCounts()
+	tally := &es.tally
 
 	// Check nodes with larger strategy sets first: they are the ones whose
 	// current strategy is least likely to be a best response, so the
@@ -685,8 +688,11 @@ func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumCo
 		return res, nil
 	}
 
-	reg := obs.Global()
+	// Sampled eval timing needs a registry to report to; without one the
+	// scan reads no clock.
+	timing := obs.Global() != nil
 	var sinceCkpt uint64
+	var sinceFlush int
 	// capReturn finalizes a MaxEquilibria stop; the cursor advances past
 	// the emitting state first so a resume does not re-emit it.
 	capReturn := func() (*NEResult, error) {
@@ -704,13 +710,18 @@ func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumCo
 		if budget != nil && !budget.take() {
 			return stop(runctl.StatusBudget)
 		}
+		if sinceFlush++; sinceFlush == runctl.CheckEvery {
+			sinceFlush = 0
+			es.FlushCounts()
+		}
 		if cfg.OnCheckpoint != nil && sinceCkpt >= ckptEvery {
 			sinceCkpt = 0
+			es.FlushCounts()
 			cfg.OnCheckpoint(snapshot())
 		}
 		sinceCkpt++
 		res.Checked++
-		reg.Inc(obs.MProfilesChecked)
+		tally.Inc(obs.MProfilesChecked)
 		switch {
 		case len(pending) > 0 && intsEqual(pending[0], idx):
 			// A known equilibrium: the orbit image of an earlier canonical
@@ -718,8 +729,8 @@ func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumCo
 			// from the search space directly, because the incrementally
 			// maintained p lags behind idx across skipped states.
 			pending = pending[1:]
-			reg.Inc(obs.MEquilibriaFound)
-			reg.Inc(obs.MQuotientOrbits)
+			tally.Inc(obs.MEquilibriaFound)
+			tally.Inc(obs.MQuotientOrbits)
 			res.Equilibria = append(res.Equilibria, profileAt(ss, idx))
 			if cfg.MaxEquilibria > 0 && len(res.Equilibria) >= cfg.MaxEquilibria {
 				return capReturn()
@@ -730,14 +741,14 @@ func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumCo
 			// either way it is credited as checked without an evaluation.
 			// Under bulk skipping the whole certified suffix block is
 			// credited at once and the cursor jumps past it.
-			reg.Inc(obs.MQuotientSkipped)
+			tally.Inc(obs.MQuotientSkipped)
 			if suffSize != nil {
 				extra, done, jumped := bulkSkip(skipLevel)
 				if extra > 0 {
 					res.Checked += extra
 					sinceCkpt += extra
-					reg.Add(obs.MProfilesChecked, int64(extra))
-					reg.Add(obs.MQuotientSkipped, int64(extra))
+					tally.Add(obs.MProfilesChecked, int64(extra))
+					tally.Add(obs.MQuotientSkipped, int64(extra))
 				}
 				if done {
 					return res, nil
@@ -749,15 +760,15 @@ func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumCo
 		default:
 			applyRewires()
 			var stable bool
-			if reg != nil && res.Checked&evalSampleMask == 0 {
+			if timing && res.Checked&evalSampleMask == 0 {
 				t0 := time.Now()
 				stable = profileStable(es, p, order, lastChanged)
-				reg.Observe(obs.HProfileEval, time.Since(t0).Nanoseconds())
+				tally.Observe(obs.HProfileEval, time.Since(t0).Nanoseconds())
 			} else {
 				stable = profileStable(es, p, order, lastChanged)
 			}
 			if stable {
-				reg.Inc(obs.MEquilibriaFound)
+				tally.Inc(obs.MEquilibriaFound)
 				res.Equilibria = append(res.Equilibria, p.Clone())
 				if qv != nil {
 					insertPending(qv.orbit(idx))
@@ -808,7 +819,7 @@ func setStrategyArcs(spec Spec, g *graph.Digraph, u int, s Strategy) {
 // stability verdict is a conjunction, so check order cannot change it —
 // only how fast the early exit fires.
 func profileStable(es *EvalScratch, p Profile, order []int, lastChanged int) bool {
-	obs.Global().Inc(obs.MStabilityChecks)
+	es.tally.Inc(obs.MStabilityChecks)
 	if lastChanged >= 0 {
 		o := es.OracleFor(lastChanged)
 		if o.HasImprovement(o.Evaluate(p[lastChanged])) {

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"context"
-	"sync"
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"bbc/internal/obs"
@@ -55,46 +56,6 @@ func TestObsCountersUnderParallelEnumeration(t *testing.T) {
 	}
 }
 
-// TestObsCountersUnderParallelDeviationScan drives FindDeviationParallel
-// from several goroutines at once against one shared registry.
-func TestObsCountersUnderParallelDeviationScan(t *testing.T) {
-	reg := withRegistry(t)
-	spec := MustUniform(8, 2)
-	p := NewEmptyProfile(8)
-	const scans = 6
-	var wg sync.WaitGroup
-	for i := 0; i < scans; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dev, err := FindDeviationParallel(context.Background(), spec, p, SumDistances, ParallelOptions{Workers: 3})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if dev == nil {
-				t.Error("empty profile must have a deviation")
-			}
-		}()
-	}
-	wg.Wait()
-	// Each scan checks up to n nodes but stops counting reliably at the
-	// per-node granularity: every job that ran incremented MWorkerTasks
-	// and MDeviationChecks once.
-	if tasks := reg.Get(obs.MWorkerTasks); tasks == 0 || tasks > scans*8 {
-		t.Errorf("worker tasks = %d, want in (0, %d]", tasks, scans*8)
-	}
-	if reg.Get(obs.MDeviationChecks) == 0 {
-		t.Error("deviation check counter stayed zero")
-	}
-	if reg.Get(obs.MDeviationsFound) == 0 {
-		t.Error("deviations-found counter stayed zero for an unstable profile")
-	}
-	if got := reg.Get(obs.MStabilityChecks); got != scans {
-		t.Errorf("stability checks = %d, want %d", got, scans)
-	}
-}
-
 // TestEnumerationUnaffectedByRegistry pins that instrumentation does not
 // change results: the same scan with and without a registry returns the
 // same equilibria.
@@ -118,5 +79,150 @@ func TestEnumerationUnaffectedByRegistry(t *testing.T) {
 	if bare.Checked != instrumented.Checked || len(bare.Equilibria) != len(instrumented.Equilibria) {
 		t.Errorf("instrumentation changed results: %d/%d vs %d/%d",
 			bare.Checked, len(bare.Equilibria), instrumented.Checked, len(instrumented.Equilibria))
+	}
+}
+
+// countPins are the registry totals of a full uniform(6,1) scan (46,656
+// profiles in six pivot partitions) through EnumeratePureNEParallelOpts,
+// recorded when every count still went straight to the registry. Keys
+// are counter names, and "hist:" + name for a histogram's observation
+// count. Each partition re-binds its worker's scratch to a fresh graph,
+// so the work, and every count below, is the same at any worker count.
+var countPins = map[string]int64{
+	"bfs.batch_sources":         164760,
+	"bfs.batch_waves":           115873,
+	"core.equilibria_found":     120,
+	"core.profiles_checked":     46656,
+	"core.stability_checks":     46656,
+	"graph.bfs_batch":           32952,
+	"oracle.builds":             32952,
+	"oracle.cache_hits":         31212,
+	"oracle.evals":              64164,
+	"oracle.has_improvement":    64164,
+	"parallel.tasks":            6,
+	"hist:core.profile_eval_ns": 726,
+	"hist:graph.bfs_wave_width": 32952,
+}
+
+// timingMetrics are the scan's other metrics, which vary from run to run:
+// wall-time counters, and the build-latency histogram, which samples 1 in
+// 64 builds of each worker's scratch.
+var timingMetrics = []string{"oracle.build_nanos", "parallel.busy_nanos", "hist:oracle.build_duration_ns"}
+
+// pinnedScan runs the scan countPins describes.
+func pinnedScan(t *testing.T, workers int) *NEResult {
+	t.Helper()
+	spec := MustUniform(6, 1)
+	ss, err := FullSpace(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := EnumeratePureNEParallelOpts(spec, SumDistances, ss, EnumConfig{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// countsOf reads reg keyed as countPins is, without the timing metrics.
+func countsOf(reg *obs.Registry) map[string]int64 {
+	out := reg.Snapshot()
+	for name, h := range reg.HistSnapshot() {
+		out["hist:"+name] = h.Count
+	}
+	for _, k := range timingMetrics {
+		delete(out, k)
+	}
+	return out
+}
+
+// checkCountPins fails the test unless reg holds exactly the pinned totals.
+func checkCountPins(t *testing.T, reg *obs.Registry) {
+	t.Helper()
+	if got := countsOf(reg); !reflect.DeepEqual(got, countPins) {
+		t.Errorf("registry after the scan:\n got %v\nwant %v", got, countPins)
+	}
+}
+
+// TestScanCountsExactAcrossWorkers pins that per-worker counter blocks
+// lose, duplicate and misattribute nothing: after the scan returns, the
+// registry holds exactly the pinned totals at one, two and four workers.
+func TestScanCountsExactAcrossWorkers(t *testing.T) {
+	for _, w := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
+			reg := withRegistry(t)
+			res := pinnedScan(t, w)
+			if res.Checked != 46656 || len(res.Equilibria) != 120 {
+				t.Fatalf("scan checked %d profiles, found %d equilibria; want 46656 and 120", res.Checked, len(res.Equilibria))
+			}
+			checkCountPins(t, reg)
+		})
+	}
+}
+
+// TestScanCountsLiveReadMonotone reads the registry from another goroutine
+// while two workers scan: flushes only ever add, so every value it sees
+// is non-decreasing, and the last read after the scan is the pinned
+// totals. Run with -race: this is the data-race test for flushing.
+func TestScanCountsLiveReadMonotone(t *testing.T) {
+	reg := withRegistry(t)
+	done := make(chan struct{})
+	polled := make(chan error, 1)
+	go func() {
+		prev := map[string]int64{}
+		for {
+			select {
+			case <-done:
+				polled <- nil
+				return
+			default:
+			}
+			cur := countsOf(reg)
+			for k, v := range prev {
+				if cur[k] < v {
+					polled <- fmt.Errorf("%s went from %d to %d during the scan", k, v, cur[k])
+					return
+				}
+			}
+			prev = cur
+			runtime.Gosched()
+		}
+	}()
+	pinnedScan(t, 2)
+	close(done)
+	if err := <-polled; err != nil {
+		t.Error(err)
+	}
+	checkCountPins(t, reg)
+}
+
+// TestCheckpointSeesExactCounts pins the flush before each checkpoint: a
+// serial scan publishes its counts before it calls OnCheckpoint, so a
+// reader in the callback (a journal record, a lease save) sees exactly the
+// profiles the snapshot says were checked, not a total up to one flush
+// period behind. Checkpoints every 1000 profiles first coincide with the
+// 4096-profile periodic flush at 512,000, past the end of this scan.
+func TestCheckpointSeesExactCounts(t *testing.T) {
+	reg := withRegistry(t)
+	spec := MustUniform(6, 1)
+	ss, err := FullSpace(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpts := 0
+	_, err = EnumeratePureNEOpts(spec, SumDistances, ss, EnumConfig{
+		CheckpointEvery: 1000,
+		OnCheckpoint: func(cp *EnumCheckpoint) {
+			ckpts++
+			if got := reg.Get(obs.MProfilesChecked); got != int64(cp.Checked) {
+				t.Errorf("checkpoint at %d profiles: registry reads %d", cp.Checked, got)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckpts < 40 {
+		t.Errorf("%d checkpoints fired, want at least 40", ckpts)
 	}
 }

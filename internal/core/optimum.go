@@ -22,11 +22,9 @@ type OptimumResult struct {
 // feasible for small games; maxProfiles caps the scan (0 means 50
 // million) and an *EnumerationLimitError is returned when exceeded.
 //
-// The scan maintains the realized graph incrementally and prunes with a
-// running lower bound: node costs are individually bounded below by the
-// BFS-ideal cost, so a partial assignment whose fixed nodes already cost
-// more than the best full profile cannot win. (The bound prunes only at
-// the level of whole-profile evaluation since distances are global.)
+// The scan maintains the realized graph incrementally, rewiring only the
+// nodes whose odometer digit changed, and evaluates the social cost of
+// every profile in full: it does not prune.
 func SocialOptimum(spec Spec, agg Aggregation, maxProfiles uint64) (*OptimumResult, error) {
 	if maxProfiles == 0 {
 		maxProfiles = 50_000_000

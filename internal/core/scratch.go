@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"bbc/internal/graph"
 	"bbc/internal/obs"
 )
@@ -27,6 +29,11 @@ import (
 // one per worker goroutine. While bound, every mutation of the graph must
 // be reported through NoteRewire (or by re-Binding), otherwise cached
 // oracles go stale silently.
+//
+// Every count the scratch's oracles and traversals make lands in the
+// scratch's own counter block, not in the shared registry: the owner
+// calls FlushCounts to publish it (scans every runctl.CheckEvery
+// profiles, before checkpoints and on return).
 type EvalScratch struct {
 	spec Spec
 	g    *graph.Digraph
@@ -57,7 +64,18 @@ type EvalScratch struct {
 	slots   []*evalSlot
 	version uint64   // bumped by every NoteRewire
 	rewired []uint64 // rewired[v] = version at v's last rewire (1 = at Bind)
+
+	// tally is the counter block of this scratch's oracles and traversals;
+	// builds counts oracle rebuilds, so 1 in buildSampleMask+1 is timed.
+	tally  obs.Tally
+	builds uint64
 }
+
+// buildSampleMask samples 1 in 64 oracle rebuilds for timing: the timed
+// build's nanoseconds are scaled by 64 into oracle.build_nanos and
+// observed as-is into the oracle.build_duration_ns histogram, sparing the
+// other 63 builds their two clock reads.
+const buildSampleMask = 63
 
 // evalSlot caches one node's oracle. builtAt is the version at which the
 // oracle was built; 0 means never built for the current binding.
@@ -87,6 +105,7 @@ func (es *EvalScratch) Bind(spec Spec, g *graph.Digraph, agg Aggregation) {
 		return
 	}
 	es.spec, es.g, es.agg = spec, g, agg
+	es.gs.Tally, es.bs.Tally = &es.tally, &es.tally
 	n := spec.N()
 	if cap(es.dist) < n {
 		es.dist = make([]int64, n)
@@ -160,7 +179,7 @@ func (es *EvalScratch) NoteRewire(u int) {
 func (es *EvalScratch) OracleFor(u int) *Oracle {
 	slot := es.slots[u]
 	if slot == nil {
-		slot = &evalSlot{}
+		slot = &evalSlot{o: Oracle{tally: &es.tally}}
 		es.slots[u] = slot
 	}
 	if slot.builtAt != 0 {
@@ -172,7 +191,7 @@ func (es *EvalScratch) OracleFor(u int) *Oracle {
 			}
 		}
 		if valid {
-			obs.Global().Inc(obs.MOracleCacheHits)
+			es.tally.Inc(obs.MOracleCacheHits)
 			return &slot.o
 		}
 	}
@@ -180,7 +199,27 @@ func (es *EvalScratch) OracleFor(u int) *Oracle {
 	if es.noBatch {
 		bs, rev = nil, nil
 	}
+	timed := es.builds&buildSampleMask == 0 && obs.Global() != nil
+	es.builds++
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
 	slot.o.build(es.spec, es.g, u, es.agg, &es.gs, bs, es.dist, es.bdist, rev)
+	if timed {
+		ns := time.Since(t0).Nanoseconds()
+		es.tally.Add(obs.MOracleBuildNanos, ns*(buildSampleMask+1))
+		es.tally.Observe(obs.HOracleBuild, ns)
+	}
 	slot.builtAt = es.version
 	return &slot.o
 }
+
+// Tally returns the scratch's counter block, for callers that count their
+// own loop (walk steps, rounds) next to the oracle work it drives.
+func (es *EvalScratch) Tally() *obs.Tally { return &es.tally }
+
+// FlushCounts publishes the scratch's counter block into the installed
+// registry and zeroes it. Until a flush, the counts of OracleFor and of
+// the oracles it returns are invisible to registry readers.
+func (es *EvalScratch) FlushCounts() { es.tally.Flush(obs.Global()) }

@@ -25,8 +25,9 @@ func TestOracleForCacheSemantics(t *testing.T) {
 	es := NewEvalScratch()
 	es.Bind(spec, g, SumDistances)
 
-	hits := func() int64 { return reg.Get(obs.MOracleCacheHits) }
-	builds := func() int64 { return reg.Get(obs.MOracleBuild) }
+	// The scratch counts into its own block; publish it before each read.
+	hits := func() int64 { es.FlushCounts(); return reg.Get(obs.MOracleCacheHits) }
+	builds := func() int64 { es.FlushCounts(); return reg.Get(obs.MOracleBuild) }
 
 	es.OracleFor(0) // cold build
 	b0, h0 := builds(), hits()
@@ -84,21 +85,23 @@ func TestEvalScratchRebindInvalidates(t *testing.T) {
 		p[u] = Strategy{(u + 1) % 5}
 	}
 	es := NewEvalScratch()
+	// The scratch counts into its own block; publish it before each read.
+	builds := func() int64 { es.FlushCounts(); return reg.Get(obs.MOracleBuild) }
 	g1 := p.Realize(spec)
 	es.Bind(spec, g1, SumDistances)
 	es.OracleFor(2)
 
 	es.Bind(spec, g1, SumDistances) // identical triple: cache survives
-	b0 := reg.Get(obs.MOracleBuild)
+	b0 := builds()
 	es.OracleFor(2)
-	if reg.Get(obs.MOracleBuild) != b0 {
+	if builds() != b0 {
 		t.Fatal("re-bind to identical triple dropped the cache")
 	}
 
 	g2 := p.Realize(spec) // fresh pointer, same shape: cache must reset
 	es.Bind(spec, g2, SumDistances)
 	es.OracleFor(2)
-	if reg.Get(obs.MOracleBuild) != b0+1 {
+	if builds() != b0+1 {
 		t.Fatal("re-bind to a new graph did not invalidate the cache")
 	}
 }

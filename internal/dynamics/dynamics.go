@@ -230,6 +230,9 @@ func run(spec core.Spec, start core.Profile, sched Scheduler, agg core.Aggregati
 		es = core.NewEvalScratch()
 	}
 	es.Bind(spec, g, agg)
+	// The walk counts into the scratch's block; every return publishes it.
+	defer es.FlushCounts()
+	tally := es.Tally()
 
 	type visit struct {
 		step  int
@@ -255,8 +258,10 @@ func run(spec core.Spec, start core.Profile, sched Scheduler, agg core.Aggregati
 
 	quiet := 0
 	maxSteps := opts.maxSteps(n)
-	reg := obs.Global()
 	for step := 0; step < maxSteps; step++ {
+		if step%runctl.CheckEvery == 0 {
+			es.FlushCounts()
+		}
 		if opts.Ctx != nil {
 			if err := opts.Ctx.Err(); err != nil {
 				res.Status = runctl.StatusFromError(err)
@@ -298,7 +303,12 @@ func run(spec core.Spec, start core.Profile, sched Scheduler, agg core.Aggregati
 			}
 			es.NoteRewire(u)
 			res.Moves++
-			reg.Inc(obs.MWalkMoves)
+			tally.Inc(obs.MWalkMoves)
+			if opts.Journal != nil {
+				// A move record carries a counter snapshot: publish the
+				// walk's counts first so the record is exact.
+				es.FlushCounts()
+			}
 			opts.Journal.Event("move", map[string]any{
 				"step":        step,
 				"node":        u,
@@ -313,7 +323,7 @@ func run(spec core.Spec, start core.Profile, sched Scheduler, agg core.Aggregati
 			quiet++
 		}
 		res.Steps++
-		reg.Inc(obs.MWalkSteps)
+		tally.Inc(obs.MWalkSteps)
 		if keepHistory {
 			history = append(history, rec)
 		}

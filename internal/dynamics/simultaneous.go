@@ -75,8 +75,11 @@ func RunSimultaneousOpts(spec core.Spec, start core.Profile, agg core.Aggregatio
 	p := start.Clone()
 	seen := map[string]int{p.Key(): 0}
 	res := &SimultaneousResult{}
-	reg := obs.Global()
 	es := core.NewEvalScratch()
+	// Rounds count into the scratch's block: published after every round
+	// and on every return.
+	defer es.FlushCounts()
+	tally := es.Tally()
 	for round := 1; round <= maxRounds; round++ {
 		if opts.Ctx != nil {
 			if err := opts.Ctx.Err(); err != nil {
@@ -85,7 +88,7 @@ func RunSimultaneousOpts(spec core.Spec, start core.Profile, agg core.Aggregatio
 				return res, nil
 			}
 		}
-		reg.Inc(obs.MSimRounds)
+		tally.Inc(obs.MSimRounds)
 		spRound := obs.Trace().StartSpan("dyn.round")
 		g := p.Realize(spec)
 		// Each round realizes a fresh graph, so Bind invalidates the oracle
@@ -111,6 +114,7 @@ func RunSimultaneousOpts(spec core.Spec, start core.Profile, agg core.Aggregatio
 			}
 		}
 		res.Rounds = round
+		es.FlushCounts()
 		spRound.EndInt("movers", int64(movers))
 		opts.Journal.Event("round", map[string]any{"round": round, "movers": movers})
 		if !moved {

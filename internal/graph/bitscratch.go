@@ -16,6 +16,10 @@ import (
 // BitScratch is not safe for concurrent use — parallel callers own one per
 // goroutine, exactly like Scratch.
 type BitScratch struct {
+	// Tally, when non-nil, receives the traversal counts in place of the
+	// installed registry, as Scratch.Tally does.
+	Tally *obs.Tally
+
 	reach    []uint64 // reach[v] bit i set: source i has settled v
 	cur      []uint64 // frontier bits discovered at the previous wave
 	next     []uint64 // frontier bits being discovered at this wave
@@ -75,12 +79,12 @@ func (g *Digraph) BFSBatchInto(dist []int64, srcs []int, opt Options, bs *BitScr
 			panic("graph: cannot skip a batch BFS source")
 		}
 	}
-	reg := obs.Global()
-	reg.Inc(obs.MBFSBatch)
-	reg.Add(obs.MBFSBatchSources, int64(len(srcs)))
 	if bs == nil {
 		bs = &BitScratch{}
 	}
+	t := bs.Tally
+	t.Inc(obs.MBFSBatch)
+	t.Add(obs.MBFSBatchSources, int64(len(srcs)))
 	bs.reset(n)
 	for i := range dist {
 		dist[i] = Unreachable
@@ -137,6 +141,6 @@ func (g *Digraph) BFSBatchInto(dist []int64, srcs []int, opt Options, bs *BitScr
 		cur, nxt = nxt, cur
 	}
 	bs.frontier, bs.incoming = cur[:0], nxt[:0]
-	reg.Add(obs.MBFSBatchWaves, waves)
-	reg.Observe(obs.HBFSWave, maxWidth)
+	t.Add(obs.MBFSBatchWaves, waves)
+	t.Observe(obs.HBFSWave, maxWidth)
 }

@@ -14,9 +14,23 @@ import (
 // out (worker pools, parallel partition scans) own one Scratch per
 // goroutine.
 type Scratch struct {
+	// Tally, when non-nil, receives the traversal counts in place of the
+	// installed registry: a worker that owns the Scratch hands it its own
+	// counter block and flushes that at its own pace.
+	Tally *obs.Tally
+
 	queue []int
 	pq    []Arc
 	done  []bool
+}
+
+// tally returns the block a traversal through s counts into; nil (no
+// Scratch, or one without a block) counts into the installed registry.
+func (s *Scratch) tally() *obs.Tally {
+	if s == nil {
+		return nil
+	}
+	return s.Tally
 }
 
 // BFSInto is BFS writing into the caller-owned dist buffer, which must have
@@ -31,8 +45,8 @@ func (g *Digraph) BFSInto(dist []int64, src int, opt Options, s *Scratch) []int6
 	if opt.Skip == src {
 		panic("graph: cannot skip the BFS source")
 	}
-	reg := obs.Global()
-	reg.Inc(obs.MBFS)
+	t := s.tally()
+	t.Inc(obs.MBFS)
 	for i := range dist {
 		dist[i] = Unreachable
 	}
@@ -73,7 +87,7 @@ func (g *Digraph) BFSInto(dist []int64, src int, opt Options, s *Scratch) []int6
 	if width > maxWidth {
 		maxWidth = width
 	}
-	reg.Observe(obs.HBFSWave, maxWidth)
+	t.Observe(obs.HBFSWave, maxWidth)
 	if s != nil {
 		s.queue = queue[:0]
 	}
@@ -90,17 +104,6 @@ func (g *Digraph) DijkstraInto(dist []int64, src int, opt Options, s *Scratch) [
 	return g.frontierInto(dist, []Arc{{To: src, Len: 0}}, opt, false, s)
 }
 
-// BFSFrontierInto is BFSFrontier writing into the caller-owned dist buffer.
-func (g *Digraph) BFSFrontierInto(dist []int64, seeds []Arc, opt Options, s *Scratch) []int64 {
-	return g.frontierInto(dist, seeds, opt, true, s)
-}
-
-// DijkstraFrontierInto is DijkstraFrontier writing into the caller-owned
-// dist buffer.
-func (g *Digraph) DijkstraFrontierInto(dist []int64, seeds []Arc, opt Options, s *Scratch) []int64 {
-	return g.frontierInto(dist, seeds, opt, false, s)
-}
-
 // frontierInto is the shared multi-source shortest-path core over
 // caller-owned buffers. When unit is true, arc lengths are treated as 1
 // (BFS semantics with seed offsets).
@@ -110,9 +113,9 @@ func (g *Digraph) frontierInto(dist []int64, seeds []Arc, opt Options, unit bool
 		panic(fmt.Sprintf("graph: dist buffer has length %d, graph has %d nodes", len(dist), n))
 	}
 	if unit {
-		obs.Global().Inc(obs.MBFS)
+		s.tally().Inc(obs.MBFS)
 	} else {
-		obs.Global().Inc(obs.MDijkstra)
+		s.tally().Inc(obs.MDijkstra)
 	}
 	var (
 		pq   []Arc

@@ -11,7 +11,8 @@ type HMetric int
 
 const (
 	// HOracleBuild is the latency of one best-response oracle build (the
-	// n−1 node-deleted traversals).
+	// n−1 node-deleted traversals). Builds on a core.EvalScratch are
+	// sampled 1 in 64; standalone builds are all observed.
 	HOracleBuild HMetric = iota
 	// HProfileEval is the latency of one whole-profile stability check
 	// during NE enumeration, sampled (1 in 64) to keep the scan hot path
@@ -43,7 +44,7 @@ var histNames = [hMetricCount]string{
 
 // histHelp is the one-line exposition help per histogram.
 var histHelp = [hMetricCount]string{
-	HOracleBuild:    "Latency of one best-response oracle build.",
+	HOracleBuild:    "Latency of one best-response oracle build (sampled 1/64 on a scan scratch).",
 	HProfileEval:    "Latency of one whole-profile stability check (sampled 1/64).",
 	HBFSWave:        "Maximum BFS frontier width (nodes at one distance level).",
 	HServeQueueWait: "Time a job spent queued before a worker picked it up.",
@@ -114,9 +115,16 @@ func (r *Registry) Observe(h HMetric, v int64) {
 	if r == nil {
 		return
 	}
+	r.hbuckets[h][bucketOf(h, v)].Add(1)
+	r.hsum[h].Add(v)
+	r.hcount[h].Add(1)
+}
+
+// bucketOf returns the index of the bucket v lands in: the first bound
+// ≥ v, or the overflow bucket. Bounds are short (≤17), so the binary
+// search is a handful of compares.
+func bucketOf(h HMetric, v int64) int {
 	bounds := histBounds[h]
-	// Binary search for the first bound ≥ v; bounds are short (≤17), so
-	// this is a handful of compares.
 	lo, hi := 0, len(bounds)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -126,9 +134,7 @@ func (r *Registry) Observe(h HMetric, v int64) {
 			lo = mid + 1
 		}
 	}
-	r.hbuckets[h][lo].Add(1)
-	r.hsum[h].Add(v)
-	r.hcount[h].Add(1)
+	return lo
 }
 
 // ObserveSince records the nanoseconds elapsed since the Started token

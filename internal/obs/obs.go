@@ -3,10 +3,11 @@
 // structured JSONL run journal, and a throttled progress/ETA reporter.
 //
 // Everything is nil-safe: a nil *Registry, *Journal or *Progress accepts
-// every call as a no-op, so instrumented hot paths (oracle builds, BFS
-// traversals, profile enumeration) pay only a nil check when observation
-// is off. The package depends on the standard library only and sits below
-// every other package in the repository.
+// every call as a no-op. The hottest paths (profile enumeration, oracle
+// builds, BFS traversals) do not touch the registry per event: they count
+// into a goroutine-owned Tally that their owner flushes periodically. The
+// package depends on the standard library only and sits below every other
+// package in the repository.
 //
 // The registry is global-but-injectable: library code reads Global() at
 // operation entry, CLIs and tests install one with SetGlobal. The global
@@ -32,7 +33,9 @@ const (
 	// MOracleBuild counts best-response oracle constructions (each is n−1
 	// node-deleted traversals).
 	MOracleBuild
-	// MOracleBuildNanos accumulates wall time spent building oracles.
+	// MOracleBuildNanos accumulates wall time spent building oracles:
+	// exact for standalone builds, the 1-in-64 sampled builds' time × 64
+	// for builds on a core.EvalScratch.
 	MOracleBuildNanos
 	// MOracleEval counts strategy evaluations against an oracle.
 	MOracleEval
