@@ -1,10 +1,14 @@
 package construct
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"bbc/internal/core"
 	"bbc/internal/dynamics"
+	"bbc/internal/obs"
 )
 
 func TestMatchingPenniesShape(t *testing.T) {
@@ -105,7 +109,7 @@ func TestGadgetHasNoPureNashEquilibrium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.EnumeratePureNEParallel(d, core.SumDistances, ss, 1, 0)
+	res, err := core.EnumeratePureNEParallelOpts(d, core.SumDistances, ss, core.EnumConfig{MaxEquilibria: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,5 +119,89 @@ func TestGadgetHasNoPureNashEquilibrium(t *testing.T) {
 	if len(res.Equilibria) != 0 {
 		t.Fatalf("gadget has %d pure equilibria, want 0; first: %v",
 			len(res.Equilibria), res.Equilibria[0])
+	}
+}
+
+// TestGadgetPinnedScanRefutesStatically pins how much of Theorem 1 the
+// dominance pass decides: it leaves 9 of 14 strategies at each of the six
+// free nodes, so a serial scan evaluates 9^6 = 531,441 profiles and
+// credits the other 6,998,095 of the 7,529,536 as refuted.
+func TestGadgetPinnedScanRefutesStatically(t *testing.T) {
+	reg := obs.NewRegistry()
+	prev := obs.SetGlobal(reg)
+	defer obs.SetGlobal(prev)
+	d := MatchingPennies(DefaultGadgetWeights())
+	ss, err := core.PinnedSpace(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.EnumeratePureNEOpts(d, core.SumDistances, ss, core.EnumConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete || res.Checked != 7_529_536 || len(res.Equilibria) != 0 {
+		t.Fatalf("scan: complete %v, checked %d, %d equilibria; want complete, 7529536, none",
+			res.Complete, res.Checked, len(res.Equilibria))
+	}
+	for m, want := range map[obs.Metric]int64{
+		obs.MProfilesChecked: 7_529_536,
+		obs.MProfilesRefuted: 6_998_095,
+		obs.MStabilityChecks: 531_441,
+	} {
+		if got := reg.Get(m); got != want {
+			t.Errorf("%s = %d, want %d", m, got, want)
+		}
+	}
+}
+
+// TestGadgetRefuteDifferential compares pruned and exhaustive scans of the
+// gadget's pinned space, a game with no equilibrium: serial budget stops
+// and every periodic checkpoint carry identical bytes, and each side's
+// stop resumes on the other side to the committed whole-scan result.
+func TestGadgetRefuteDifferential(t *testing.T) {
+	d := MatchingPennies(DefaultGadgetWeights())
+	on, err := core.PinnedSpace(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := &core.SearchSpace{PerNode: on.PerNode} // a literal space scans exhaustively
+	scan := func(ss *core.SearchSpace, cfg core.EnumConfig) ([]byte, *core.NEResult) {
+		t.Helper()
+		var snaps []*core.EnumCheckpoint
+		cfg.CheckpointEvery = 1 << 16
+		cfg.OnCheckpoint = func(cp *core.EnumCheckpoint) { snaps = append(snaps, cp) }
+		res, err := core.EnumeratePureNEOpts(d, core.SumDistances, ss, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(struct {
+			Res   *core.NEResult
+			Snaps []*core.EnumCheckpoint
+		}{res, snaps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, res
+	}
+	for _, budget := range []uint64{1, 4097, 1 << 17, 300_001} {
+		got, pruned := scan(on, core.EnumConfig{MaxProfiles: budget})
+		want, plain := scan(off, core.EnumConfig{MaxProfiles: budget})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("budget %d: pruned scan diverged\n got: %s\nwant: %s", budget, got, want)
+		}
+		if budget < 1<<16 {
+			continue
+		}
+		// Resuming the exhaustive stop on the exhaustive side would rescan
+		// millions of profiles; the pruned side finishes either stop fast.
+		for _, from := range []*core.NEResult{pruned, plain} {
+			res, err := core.EnumeratePureNEOpts(d, core.SumDistances, on, core.EnumConfig{Resume: from.Resume})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf(`{"checked":%d,"equilibria":%d,"complete":%v}`, res.Checked, len(res.Equilibria), res.Complete); got != `{"checked":7529536,"equilibria":0,"complete":true}` {
+				t.Fatalf("budget %d: resumed scan ended %s", budget, got)
+			}
+		}
 	}
 }

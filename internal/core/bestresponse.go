@@ -159,7 +159,7 @@ func (o *Oracle) build(spec Spec, g *graph.Digraph, u int, agg Aggregation, gs *
 			o.offs = append(o.offs, spec.Length(u, v))
 		}
 		C := len(o.cands)
-		o.minRemain = growInt64(o.minRemain, C+1)
+		o.minRemain = grow(o.minRemain, C+1)
 		o.minRemain[C] = int64(1)<<62 - 1
 		for i := C - 1; i >= 0; i-- {
 			o.minRemain[i] = o.costs[i]
@@ -187,7 +187,7 @@ func (o *Oracle) build(spec Spec, g *graph.Digraph, u int, agg Aggregation, gs *
 	o.budget = spec.Budget(u)
 	C, S := len(o.cands), len(o.support)
 
-	o.arena = growInt64(o.arena, C*S)
+	o.arena = grow(o.arena, C*S)
 	if len(dist) != n {
 		dist = make([]int64, n)
 	}
@@ -251,18 +251,18 @@ func (o *Oracle) build(spec Spec, g *graph.Digraph, u int, agg Aggregation, gs *
 	o.suffixValid = false
 	o.singleOptValid = false
 
-	o.minVec = growInt64(o.minVec, S)
-	o.curVec = growInt64(o.curVec, S)
+	o.minVec = grow(o.minVec, S)
+	o.curVec = grow(o.curVec, S)
 	o.cells = o.cells[:0]
 	o.chosen = o.chosen[:0]
 	sp.EndInt("node", int64(u))
 }
 
-// growInt64 reslices buf to length want, reallocating only when the
-// capacity is insufficient.
-func growInt64(buf []int64, want int) []int64 {
+// grow reslices buf to length want, reallocating only when the capacity
+// is short; reused contents are not cleared.
+func grow[T any](buf []T, want int) []T {
 	if cap(buf) < want {
-		return make([]int64, want)
+		return make([]T, want)
 	}
 	return buf[:want]
 }
@@ -290,7 +290,7 @@ func (o *Oracle) ensureSuffix() {
 		return
 	}
 	C, S := len(o.cands), len(o.support)
-	o.suffix = growInt64(o.suffix, (C+1)*S)
+	o.suffix = grow(o.suffix, (C+1)*S)
 	last := o.suffix[C*S:]
 	for j := range last {
 		last[j] = infDist

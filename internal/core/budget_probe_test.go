@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"bbc/internal/runctl"
@@ -65,6 +66,41 @@ func TestParallelBudgetProbeDoesNotDebit(t *testing.T) {
 	}
 	if rem := b.remaining.Load(); rem != 0 {
 		t.Fatalf("exhausted() mutated the budget: remaining %d", rem)
+	}
+}
+
+// Bulk takes from concurrent scans never overdraw: the grants sum to
+// exactly the budget, and an exhausted budget grants nothing.
+func TestProfileBudgetBulkTakeNeverOverdraws(t *testing.T) {
+	const budget = 100_003
+	b := newProfileBudget(budget, 0)
+	var (
+		wg      sync.WaitGroup
+		granted [8]uint64
+	)
+	for w := range granted {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for want := uint64(w + 1); ; want = want*7%1000 + 1 {
+				got := b.take(want)
+				if got == 0 {
+					return
+				}
+				if got > want {
+					t.Errorf("take(%d) granted %d", want, got)
+				}
+				granted[w] += got
+			}
+		}()
+	}
+	wg.Wait()
+	var total uint64
+	for _, g := range granted {
+		total += g
+	}
+	if total != budget || b.remaining.Load() != 0 || !b.exhausted() {
+		t.Fatalf("granted %d of %d, remaining %d", total, budget, b.remaining.Load())
 	}
 }
 

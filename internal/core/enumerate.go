@@ -106,6 +106,10 @@ func AllStrategies(spec Spec, u int, maximalOnly bool, limit int) ([]Strategy, e
 // FullSpace or PinnedSpace to build one.
 type SearchSpace struct {
 	PerNode [][]Strategy
+	// refute marks a space whose scans run the static dominance pass
+	// (refuter) first and skip the profiles it refutes. PinnedSpace sets
+	// it; parallel partitions and in-place shard slices keep it.
+	refute bool
 }
 
 // Size returns the number of profiles in the product space, saturating at
@@ -163,6 +167,15 @@ func FullSpace(spec Spec, limitPerNode int) (*SearchSpace, error) {
 // of u contains v; strategies omitting v can be soundly excluded. The rule
 // preserves all pure Nash equilibria, so "no NE in the pinned space"
 // implies "no NE at all".
+//
+// A scan of a pinned space (or of a partition or shard of one) first runs
+// a static dominance pass over it with the scan's aggregation: each node
+// strategy that some feasible deviation beats in every completion is
+// refuted, until nothing changes (see DESIGN.md, "Refuting before
+// scanning"). Profiles holding a refuted strategy are credited to
+// NEResult.Checked without being evaluated, so results, checkpoints and
+// budget stops match an exhaustive scan's. The pin rule is the pass's
+// special case where the refuted strategies omit the sole target.
 func PinnedSpace(spec Spec, limitPerNode int) (*SearchSpace, error) {
 	if !spec.UnitLengths() {
 		return nil, fmt.Errorf("core: PinnedSpace requires unit link lengths")
@@ -195,6 +208,7 @@ func PinnedSpace(spec Spec, limitPerNode int) (*SearchSpace, error) {
 		}
 		full.PerNode[u] = kept
 	}
+	full.refute = true
 	return full, nil
 }
 
@@ -203,8 +217,12 @@ type NEResult struct {
 	// Equilibria holds the pure Nash equilibria found (up to the caller's
 	// cap), in odometer order.
 	Equilibria []Profile
-	// Checked is the number of profiles whose stability was tested,
-	// including profiles credited from a resumed checkpoint.
+	// Checked is the number of profiles the scan accounted for, in
+	// odometer order from the first: profiles whose stability was tested,
+	// plus profiles credited without a test — statically refuted ones
+	// (pinned spaces), orbit members a quotient skips, and profiles
+	// carried by a resumed checkpoint. A complete scan's Checked is the
+	// size of the space.
 	Checked uint64
 	// Complete is true when the whole space was scanned (the search did not
 	// stop early at a cap, budget, deadline or cancellation).
@@ -363,6 +381,9 @@ type EnumConfig struct {
 	// goroutine so oracle caches and traversal buffers persist across the
 	// partitions a worker drains.
 	scratch *EvalScratch
+	// refuter, when non-nil, holds the dominance pass's buffers; parallel
+	// workers pass one per goroutine alongside scratch.
+	refuter *refuter
 }
 
 func (c EnumConfig) checkpointEvery() uint64 {
@@ -387,8 +408,25 @@ func newProfileBudget(max, spent uint64) *profileBudget {
 	return b
 }
 
-// take debits one profile; false means the budget is exhausted.
-func (b *profileBudget) take() bool { return b.remaining.Add(-1) >= 0 }
+// take debits up to want profiles and returns how many it granted: all of
+// them, what is left when that is less, or 0 once the budget is
+// exhausted. It never overdraws, so the grants of concurrent scans sum to
+// exactly the budget.
+func (b *profileBudget) take(want uint64) uint64 {
+	for {
+		rem := b.remaining.Load()
+		if rem <= 0 {
+			return 0
+		}
+		got := rem
+		if want < uint64(rem) {
+			got = int64(want)
+		}
+		if b.remaining.CompareAndSwap(rem, rem-got) {
+			return uint64(got)
+		}
+	}
+}
 
 // exhausted reports whether the budget has no profiles left, without
 // debiting anything: probes (post-merge status classification) must not
@@ -435,6 +473,10 @@ func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumCo
 		if len(set) == 0 {
 			return nil, fmt.Errorf("core: node %d has an empty strategy set", u)
 		}
+	}
+	poll := runctl.NewPoller(cfg.Ctx, cfg.CheckEvery)
+	if err := poll.Arm(runctl.EnumStall); err != nil {
+		return nil, err
 	}
 	res := &NEResult{Complete: true}
 	idx := make([]int, n)
@@ -494,12 +536,23 @@ func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumCo
 	if cfg.DisableBatchBFS {
 		es.SetBatchBFS(false)
 	}
-	// The realized graph is a fresh pointer, so Bind always invalidates a
-	// reused scratch's oracle cache here while keeping its buffers warm.
-	es.Bind(spec, g, agg)
 	// The scan counts into the scratch's block; every return publishes it.
 	defer es.FlushCounts()
 	tally := &es.tally
+	// A refuting space runs the dominance pass on the scratch first; rf
+	// stays nil when the pass refutes nothing, and the scan runs unpruned.
+	var rf *refuter
+	if ss.refute {
+		if rf = cfg.refuter; rf == nil {
+			rf = &refuter{}
+		}
+		if !rf.run(spec, agg, ss, es) {
+			rf = nil
+		}
+	}
+	// The realized graph is a fresh pointer, so Bind always invalidates a
+	// reused scratch's oracle cache here while keeping its buffers warm.
+	es.Bind(spec, g, agg)
 
 	// Check nodes with larger strategy sets first: they are the ones whose
 	// current strategy is least likely to be a best response, so the
@@ -517,7 +570,6 @@ func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumCo
 	if budget == nil && cfg.MaxProfiles > 0 {
 		budget = newProfileBudget(cfg.MaxProfiles, res.Checked)
 	}
-	poll := runctl.NewPoller(cfg.Ctx, cfg.CheckEvery)
 	ckptEvery := cfg.checkpointEvery()
 
 	// advance steps the odometer to the next state, recording which digits
@@ -555,6 +607,19 @@ func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumCo
 		}
 		return true
 	}
+	// skipAhead moves the cursor c states forward in odometer order, by
+	// mixed-radix addition; the caller never moves it past the last state.
+	skipAhead := func(c uint64) {
+		for u := n - 1; u >= 0 && c > 0; u-- {
+			w := uint64(len(ss.PerNode[u]))
+			t := uint64(idx[u]) + c
+			if d := int(t % w); d != idx[u] {
+				idx[u] = d
+				markDirty(u)
+			}
+			c = t / w
+		}
+	}
 	applyRewires := func() {
 		if len(dirty) == 1 {
 			lastChanged = dirty[0]
@@ -578,7 +643,6 @@ func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumCo
 	// that fit comfortably in uint64. suffSize[u] is the number of states
 	// of the odometer suffix starting at level u.
 	var suffSize []uint64
-	var jbuf []int
 	if qv != nil && qv.pivot < 0 && budget == nil {
 		suffSize = make([]uint64, n+1)
 		suffSize[n] = 1
@@ -589,9 +653,6 @@ func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumCo
 				break
 			}
 			suffSize[u] = suffSize[u+1] * w
-		}
-		if suffSize != nil {
-			jbuf = make([]int, n)
 		}
 	}
 	skipLevel := -1
@@ -618,40 +679,18 @@ func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumCo
 		if rest == 0 {
 			return 0, false, false
 		}
-		copy(jbuf, idx)
-		for l := L + 1; l < n; l++ {
-			jbuf[l] = 0
+		// d is the rank distance to the first state past the block, or to
+		// the next pending emission (always past the cursor) when sooner.
+		at := rank(suffSize, idx)
+		d := rest + 1
+		if len(pending) > 0 {
+			d = min(d, rank(suffSize, pending[0])-at)
 		}
-		wrapped := false
-		for l := L; ; l-- {
-			if l < 0 {
-				wrapped = true
-				break
-			}
-			jbuf[l]++
-			if jbuf[l] < len(ss.PerNode[l]) {
-				break
-			}
-			jbuf[l] = 0
-		}
-		if len(pending) > 0 && (wrapped || lexLessInts(pending[0], jbuf)) {
-			copy(jbuf, pending[0])
-			wrapped = false
-		}
-		if wrapped {
+		if at+d == suffSize[0] {
 			return rest, true, false
 		}
-		var d int64
-		for l := 0; l < n; l++ {
-			d += int64(jbuf[l]-idx[l]) * int64(suffSize[l+1])
-		}
-		for l := 0; l < n; l++ {
-			if jbuf[l] != idx[l] {
-				idx[l] = jbuf[l]
-				markDirty(l)
-			}
-		}
-		return uint64(d - 1), false, true
+		skipAhead(d)
+		return d - 1, false, true
 	}
 	// insertPending merges orbit index vectors (ascending, deduplicated,
 	// all past the cursor) into the pending list, keeping it sorted.
@@ -707,21 +746,55 @@ func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumCo
 		if err := poll.Check(); err != nil {
 			return stop(runctl.StatusFromError(err))
 		}
-		if budget != nil && !budget.take() {
-			return stop(runctl.StatusBudget)
+		// The cursor's state is counted on its own, or with the whole run of
+		// statically refuted states it opens: refuted says which, and end
+		// that the run reaches the end of the space.
+		block, refuted, end := uint64(1), false, false
+		if rf != nil {
+			if gap, last := rf.gap(ss, idx); gap > 0 {
+				block, refuted, end = gap, true, last
+			}
+		}
+		// A run is credited exactly as an exhaustive scan would count it
+		// state by state: a due checkpoint fires at the cursor unless the
+		// budget stops there first, and the credit stops short at the next
+		// checkpoint boundary and at the budget, leaving the cursor where
+		// the exhaustive scan would stand.
+		if cfg.OnCheckpoint != nil && sinceCkpt >= ckptEvery {
+			if budget != nil && budget.exhausted() {
+				return stop(runctl.StatusBudget)
+			}
+			sinceCkpt = 0
+			es.FlushCounts()
+			cfg.OnCheckpoint(snapshot())
+		}
+		c := block
+		if cfg.OnCheckpoint != nil {
+			c = min(c, ckptEvery-sinceCkpt)
+		}
+		if budget != nil {
+			if c = budget.take(c); c == 0 {
+				return stop(runctl.StatusBudget)
+			}
 		}
 		if sinceFlush++; sinceFlush == runctl.CheckEvery {
 			sinceFlush = 0
 			es.FlushCounts()
 		}
-		if cfg.OnCheckpoint != nil && sinceCkpt >= ckptEvery {
-			sinceCkpt = 0
-			es.FlushCounts()
-			cfg.OnCheckpoint(snapshot())
+		sinceCkpt += c
+		res.Checked += c
+		tally.Add(obs.MProfilesChecked, int64(c))
+		if refuted {
+			// No state of the run is an equilibrium. The poll counted the
+			// cursor's state; credit the rest of the block to it.
+			tally.Add(obs.MProfilesRefuted, int64(c))
+			poll.Credit(c - 1)
+			if end && c == block {
+				return res, nil
+			}
+			skipAhead(c)
+			continue
 		}
-		sinceCkpt++
-		res.Checked++
-		tally.Inc(obs.MProfilesChecked)
 		switch {
 		case len(pending) > 0 && intsEqual(pending[0], idx):
 			// A known equilibrium: the orbit image of an earlier canonical

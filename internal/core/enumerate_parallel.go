@@ -10,27 +10,22 @@ import (
 	"bbc/internal/runctl"
 )
 
-// EnumeratePureNEParallel is EnumeratePureNE with the product space
-// partitioned across workers: the scan fixes each strategy of the first
-// node whose strategy set has more than one entry and hands the resulting
-// subspace to a worker. Results are merged in partition order, so the
-// equilibria come back in the same order as the serial scan. maxEquilibria
-// caps the total collected (0 = all); when the cap is hit remaining
-// partitions are still scanned but stop collecting, and Complete reports
-// whether every profile was checked before the cap ended the collection.
-func EnumeratePureNEParallel(spec Spec, agg Aggregation, ss *SearchSpace, maxEquilibria, workers int) (*NEResult, error) {
-	return EnumeratePureNEParallelOpts(spec, agg, ss, EnumConfig{MaxEquilibria: maxEquilibria, Workers: workers})
-}
-
-// EnumeratePureNEParallelOpts is the run-controlled parallel scan. At
-// most cfg.Workers goroutines pull partitions from a queue (never one
-// goroutine per partition), each partition scan observes cfg.Ctx and the
-// shared cfg.MaxProfiles budget, and a panic inside a partition surfaces
-// as an error naming that partition instead of killing the process.
-// Checkpointing is partition-granular: OnCheckpoint fires after each
-// completed partition, and resuming skips completed partitions, so an
-// interrupted-then-resumed scan merges to exactly the uninterrupted
-// result.
+// EnumeratePureNEParallelOpts is EnumeratePureNEOpts with the product
+// space partitioned across workers: the scan fixes each strategy of the
+// first node whose strategy set has more than one entry (the pivot) and
+// hands the resulting sub-space to a worker. Results are merged in
+// partition order, so the equilibria come back in the same order as the
+// serial scan; cfg.MaxEquilibria caps the total collected, and a scan
+// capped that way is not Complete. At most cfg.Workers goroutines pull
+// partitions from a queue (never one goroutine per partition), each
+// partition scan observes cfg.Ctx and the shared cfg.MaxProfiles budget,
+// and a panic inside a partition surfaces as an error naming that
+// partition instead of killing the process. A partition of a pinned space
+// runs the dominance pass on its own sub-space, where the fixed pivot can
+// refute more. Checkpointing is partition-granular: OnCheckpoint fires
+// after each completed partition, and resuming skips completed
+// partitions, so an interrupted-then-resumed scan merges to exactly the
+// uninterrupted result.
 func EnumeratePureNEParallelOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumConfig) (*NEResult, error) {
 	n := spec.N()
 	if len(ss.PerNode) != n {
@@ -121,10 +116,12 @@ func EnumeratePureNEParallelOpts(spec Spec, agg Aggregation, ss *SearchSpace, cf
 			defer wg.Done()
 			reg := obs.Global()
 			tr := obs.Trace()
-			// One evaluation scratch per worker goroutine: traversal buffers
-			// and oracle arenas stay warm across every partition this worker
-			// drains (each partition re-binds to its own realized graph).
+			// One evaluation scratch and one set of dominance-pass buffers
+			// per worker goroutine: traversal buffers and oracle arenas stay
+			// warm across every partition this worker drains (each partition
+			// re-binds to its own realized graph).
 			es := NewEvalScratch()
+			rf := &refuter{}
 			for i := range jobs {
 				reg.Inc(obs.MWorkerTasks)
 				// Busy time covers partition work only, not queue wait:
@@ -132,7 +129,7 @@ func EnumeratePureNEParallelOpts(spec Spec, agg Aggregation, ss *SearchSpace, cf
 				t0 := reg.Started()
 				sp := tr.StartSpan("enum.partition").OnTrack(track)
 				errs[i] = runctl.Guard(fmt.Sprintf("enumeration partition %d (pivot node %d, strategy %v)", i, pivot, parts[i]), func() error {
-					sub := &SearchSpace{PerNode: make([][]Strategy, n)}
+					sub := &SearchSpace{PerNode: make([][]Strategy, n), refute: ss.refute}
 					copy(sub.PerNode, ss.PerNode)
 					sub.PerNode[pivot] = []Strategy{parts[i]}
 					subCfg := EnumConfig{
@@ -142,6 +139,7 @@ func EnumeratePureNEParallelOpts(spec Spec, agg Aggregation, ss *SearchSpace, cf
 						DisableBatchBFS: cfg.DisableBatchBFS,
 						budget:          budget,
 						scratch:         es,
+						refuter:         rf,
 					}
 					if cfg.Quotient != nil {
 						// Partition-local quotient view: states are skipped

@@ -15,7 +15,7 @@ func TestParallelEnumerationMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := EnumeratePureNEParallel(spec, SumDistances, ss, 0, 4)
+		parallel, err := EnumeratePureNEParallelOpts(spec, SumDistances, ss, EnumConfig{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestParallelEnumerationCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EnumeratePureNEParallel(spec, SumDistances, ss, 1, 2)
+	res, err := EnumeratePureNEParallelOpts(spec, SumDistances, ss, EnumConfig{MaxEquilibria: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestParallelEnumerationSingleProfileSpace(t *testing.T) {
 	ss := &SearchSpace{PerNode: [][]Strategy{
 		{{1}}, {{2}}, {{0}},
 	}}
-	res, err := EnumeratePureNEParallel(spec, SumDistances, ss, 0, 4)
+	res, err := EnumeratePureNEParallelOpts(spec, SumDistances, ss, EnumConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +68,12 @@ func TestParallelEnumerationSingleProfileSpace(t *testing.T) {
 
 func TestParallelEnumerationBadSpace(t *testing.T) {
 	spec := MustUniform(3, 1)
-	if _, err := EnumeratePureNEParallel(spec, SumDistances,
-		&SearchSpace{PerNode: make([][]Strategy, 2)}, 0, 2); err == nil {
+	if _, err := EnumeratePureNEParallelOpts(spec, SumDistances,
+		&SearchSpace{PerNode: make([][]Strategy, 2)}, EnumConfig{Workers: 2}); err == nil {
 		t.Fatal("expected error for wrong node count")
 	}
-	if _, err := EnumeratePureNEParallel(spec, SumDistances,
-		&SearchSpace{PerNode: make([][]Strategy, 3)}, 0, 2); err == nil {
+	if _, err := EnumeratePureNEParallelOpts(spec, SumDistances,
+		&SearchSpace{PerNode: make([][]Strategy, 3)}, EnumConfig{Workers: 2}); err == nil {
 		t.Fatal("expected error for empty sets")
 	}
 }

@@ -30,7 +30,7 @@ func TestObsCountersUnderParallelEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EnumeratePureNEParallel(spec, SumDistances, ss, 0, 4)
+	res, err := EnumeratePureNEParallelOpts(spec, SumDistances, ss, EnumConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

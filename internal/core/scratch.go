@@ -112,7 +112,7 @@ func (es *EvalScratch) Bind(spec Spec, g *graph.Digraph, agg Aggregation) {
 	}
 	es.dist = es.dist[:n]
 	if spec.UnitLengths() {
-		es.bdist = growInt64(es.bdist, min(graph.BatchWidth, n-1)*n)
+		es.bdist = grow(es.bdist, min(graph.BatchWidth, n-1)*n)
 		if es.rev == nil || es.rev.N() != n {
 			es.rev = graph.New(n)
 			es.known = make([][]int, n)

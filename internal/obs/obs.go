@@ -129,6 +129,11 @@ const (
 	// MQuotientOrbits counts equilibria emitted by orbit re-expansion (copies
 	// of a canonical representative, not independently evaluated).
 	MQuotientOrbits
+	// MProfilesRefuted counts profiles a scan of a pinned space credited as
+	// checked without evaluating them, because the static dominance pass
+	// refuted one of their strategies; a subset of MProfilesChecked, so
+	// the two together say how much of a verdict the pass decided.
+	MProfilesRefuted
 	// MServeQueueFull counts submissions refused because the bounded job
 	// queue was full (a subset of MServeRejected, split out so saturation
 	// is distinguishable from drain rejections on a dashboard).
@@ -212,6 +217,7 @@ var metricNames = [metricCount]string{
 	MBFSBatchSources:   "bfs.batch_sources",
 	MQuotientSkipped:   "quotient.skipped",
 	MQuotientOrbits:    "quotient.orbit_equilibria",
+	MProfilesRefuted:   "core.profiles_refuted",
 	MServeQueueFull:    "serve.queue_full",
 	MServeThrottled:    "admission.throttled",
 	MServeQuotaDenied:  "admission.quota_denied",

@@ -142,6 +142,11 @@ type Poller struct {
 	every uint64
 	count uint64
 	err   error
+	// credit counts units of work the loop did in bulk, beyond one per
+	// Check (see Credit); stallAt, when non-zero, is the work count at
+	// which an armed stall failpoint parks the loop (see Arm).
+	credit  uint64
+	stallAt uint64
 }
 
 // NewPoller returns a poller checking ctx every `every` iterations
@@ -167,6 +172,14 @@ func (p *Poller) Check() error {
 	if p.count%p.every != 1 && p.every > 1 {
 		return nil
 	}
+	if p.stallAt != 0 && p.count+p.credit >= p.stallAt {
+		<-p.ctx.Done()
+	}
 	p.err = p.ctx.Err()
 	return p.err
 }
+
+// Credit records n units of work the loop did without a Check each — a
+// block of profiles credited in one step — so that an armed stall
+// failpoint counts them. It does not move the poll schedule.
+func (p *Poller) Credit(n uint64) { p.credit += n }
